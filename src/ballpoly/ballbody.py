@@ -2,11 +2,12 @@
 
 The body of a generator set X with radius r is the intersection of the
 closed balls B[x, r] over the generators x. This module provides the
-dimension-generic operations: the minimax (Chebyshev) center of a point
-set, inradius via the center identity, regular simplex generator sets,
-Monte Carlo volume, the dimension-dependent volume lower-bound constant,
-outer approximations of the second dual (the hull obtained by dualizing
-twice), and a stochastic upper estimator for the minimal lune width.
+dimension-generic operations: the exact minimax (Chebyshev) center of a
+point set by one least-distance (NNLS) solve, inradius via the center
+identity, regular simplex generator sets, Monte Carlo volume, the
+dimension-dependent volume lower-bound constant, outer approximations of
+the second dual (the hull obtained by dualizing twice), and a stochastic
+upper estimator for the minimal lune width.
 """
 
 from __future__ import annotations
@@ -70,162 +71,43 @@ class MinimaxResult:
     radius: float
     active: tuple[int, ...]
     weights: np.ndarray
-    iterations: int
 
 
-def _max_dist(points: np.ndarray, c: np.ndarray) -> tuple[float, int]:
-    dots = np.clip(points @ c, -1.0, 1.0)
-    i = int(np.argmin(dots))
-    return float(np.arccos(dots[i])), i
-
-
-def _equalizing_center(points: np.ndarray, idx: list[int]) -> tuple[np.ndarray | None, list[int], np.ndarray | None]:
-    """Center equidistant from points[idx] as a nonnegative combination.
-
-    Solves G lam = 1 on the trial set, dropping negative weights until the
-    combination is admissible. Returns (center, surviving indices, weights).
-    """
-    sub = list(idx)
-    lam = None
-    while sub:
-        g = points[sub] @ points[sub].T
-        lam, *_ = np.linalg.lstsq(g, np.ones(len(sub)), rcond=None)
-        neg = [k for k, val in enumerate(lam) if val < -1e-12]
-        if not neg or len(sub) <= 1:
-            break
-        worst = min(neg, key=lambda k: lam[k])
-        sub.pop(worst)
-    if lam is None or not sub:
-        return None, sub, None
-    m = lam @ points[sub]
-    nm = float(np.linalg.norm(m))
-    if nm < 1e-14:
-        return None, sub, None
-    return m / nm, sub, lam
-
-
-_MINIMAX_CACHE: dict[bytes, MinimaxResult] = {}
-_MINIMAX_CACHE_LIMIT = 128
-
-
-def minimax_center(points, restarts: int = 5, iters_per_restart: int = 240) -> MinimaxResult:
+def minimax_center(points) -> MinimaxResult:
     """Geodesic minimax center of a finite point set on a sphere.
 
-    Subgradient descent toward the current farthest point with a 1/k step
-    schedule and restarts, followed by an active-set equalization polish
-    that lands on the first-order condition: the optimal center is a
-    nonnegative combination of the farthest points, all at equal distance.
-    Raises ValueError when the points do not fit in an open hemisphere.
-    Results are cached by the byte content of the input (the same instance
-    is queried by several downstream computations).
+    Maximizing min_i <p_i, c> over unit c is the least-distance program
+    min |x| subject to P x >= 1, with c = x / |x|. Following Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23) it is solved
+    exactly by one nonnegative least-squares problem: with E = [P^T; 1^T]
+    and f = e_{k+1}, the NNLS solution u gives the residual E u - f, whose
+    last entry is negative exactly when the program is feasible, and then
+    x = -res[:k] / res[k]. The support of u indexes the farthest (active)
+    points, and the center is proportional to the nonnegative combination
+    u @ P. Raises ValueError when the points do not fit in an open
+    hemisphere.
     """
     p = as_unit_rows(points)
-    key = p.tobytes() + bytes([restarts])
-    cached = _MINIMAX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _minimax_center_impl(p, restarts, iters_per_restart)
-    if len(_MINIMAX_CACHE) >= _MINIMAX_CACHE_LIMIT:
-        _MINIMAX_CACHE.pop(next(iter(_MINIMAX_CACHE)))
-    _MINIMAX_CACHE[key] = result
-    return result
-
-
-def _minimax_center_impl(p: np.ndarray, restarts: int, iters_per_restart: int) -> MinimaxResult:
-    n = p.shape[0]
+    n, k = p.shape
     if n == 1:
-        return MinimaxResult(p[0].copy(), 0.0, (0,), np.array([1.0]), 0)
+        return MinimaxResult(p[0].copy(), 0.0, (0,), np.array([1.0]))
 
-    m = p.sum(axis=0)
-    nm = float(np.linalg.norm(m))
-    if nm < 1e-9:
+    e = np.vstack([p.T, np.ones((1, n))])
+    f = np.zeros(k + 1)
+    f[k] = 1.0
+    u, _ = optimize.nnls(e, f)
+    res = e @ u - f
+    if not np.any(res) or res[k] >= 0.0:
         raise ValueError("points are not contained in an open hemisphere")
-    c = m / nm
-    best_f, _ = _max_dist(p, c)
-    best_c = c.copy()
-    iters = 0
-
-    for _restart in range(restarts):
-        c = best_c.copy()
-        step0 = max(best_f, 1e-3)
-        for k in range(1, iters_per_restart + 1):
-            iters += 1
-            dots = np.clip(p @ c, -1.0, 1.0)
-            i = int(np.argmin(dots))
-            fc = float(np.arccos(dots[i]))
-            if fc < best_f:
-                best_f, best_c = fc, c.copy()
-            w = p[i] - dots[i] * c
-            wn = float(np.linalg.norm(w))
-            if wn < 1e-15:
-                break
-            c = geodesic_point(c, w / wn, step0 / k)
-            c /= np.linalg.norm(c)
-
-    # NLP refinement: maximize the worst inner product m over unit centers.
-    # The constraints are linear in (c, m) apart from the unit-norm equality,
-    # which SLSQP handles quadratically; the subgradient answer is the start.
-    k = p.shape[1]
-    con_jac = np.hstack([p, -np.ones((n, 1))])
-    cons = (
-        {"type": "ineq", "fun": lambda z: p @ z[:k] - z[k],
-         "jac": lambda z: con_jac},
-        {"type": "eq", "fun": lambda z: z[:k] @ z[:k] - 1.0,
-         "jac": lambda z: np.concatenate([2.0 * z[:k], [0.0]])},
-    )
-    obj_jac = np.zeros(k + 1)
-    obj_jac[k] = -1.0
-    z0 = np.concatenate([best_c, [float(np.min(p @ best_c))]])
-    sol = optimize.minimize(lambda z: -z[k], z0, jac=lambda z: obj_jac,
-                            method="SLSQP", constraints=cons,
-                            options={"maxiter": 200, "ftol": 1e-16})
-    cand = np.asarray(sol.x[:k], dtype=float)
-    nc = float(np.linalg.norm(cand))
-    if nc > 1e-9:
-        cand = cand / nc
-        f_cand, _ = _max_dist(p, cand)
-        if f_cand < best_f:
-            best_f, best_c = f_cand, cand
-
-    # Equalization polish. Active sets are re-identified at shrinking gaps;
-    # each equalizing solve is Newton-like near the optimum.
-    c = best_c.copy()
-    for gap in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12):
-        for _round in range(40):
-            dots = np.clip(p @ c, -1.0, 1.0)
-            dists = np.arccos(dots)
-            fmax = float(dists.max())
-            idx = np.flatnonzero(dists >= fmax - gap)
-            if idx.size < 2:
-                idx = np.argsort(dists)[-2:]
-            cand, _, _ = _equalizing_center(p, list(idx))
-            if cand is None:
-                break
-            f_new, _ = _max_dist(p, cand)
-            moved = float(np.linalg.norm(cand - c))
-            if f_new <= best_f + 1e-15:
-                if f_new < best_f:
-                    best_f, best_c = f_new, cand.copy()
-                c = cand
-                if moved < 1e-15:
-                    break
-            else:
-                break
-
-    if best_f >= math.pi / 2 - 1e-9:
+    x = -res[:k] / res[k]
+    center = x / np.linalg.norm(x)
+    radius = float(np.arccos(np.clip(p @ center, -1.0, 1.0)).max())
+    if radius >= math.pi / 2 - 1e-9:
         raise ValueError("points are not contained in an open hemisphere")
 
-    dots = np.clip(p @ best_c, -1.0, 1.0)
-    dists = np.arccos(dots)
-    idx = np.flatnonzero(dists >= best_f - 1e-8)
-    _, active, lam = _equalizing_center(p, list(idx))
-    if lam is None:
-        active, lam = [int(np.argmax(dists))], np.array([1.0])
-    weights = np.clip(np.asarray(lam, dtype=float), 0.0, None)
-    total = float(weights.sum())
-    if total > 0:
-        weights = weights / total
-    return MinimaxResult(best_c, best_f, tuple(int(i) for i in active), weights, iters)
+    active = np.flatnonzero(u > 0.0)
+    weights = u[active] / float(u.sum())
+    return MinimaxResult(center, radius, tuple(int(i) for i in active), weights)
 
 
 def circumradius_minimax(points) -> tuple[float, np.ndarray]:
@@ -427,51 +309,6 @@ def boundary_sample_dual(gens: GeneratorSet, n: int, seed: int) -> np.ndarray:
     return _push_to_boundary(c, dirs, feasible, t_hi)
 
 
-def _refine_farthest_pair(c: np.ndarray, feasible, t_hi: float, samples: np.ndarray) -> np.ndarray:
-    """Locally maximize the distance between two boundary points.
-
-    Boundary points are parametrized by unnormalized tangent vectors at c
-    (mapped through the ray bisection), and a Nelder-Mead search polishes
-    the best sampled pair."""
-    basis = tangent_basis(c)
-    m = basis.shape[0]
-
-    def bpoint(vec: np.ndarray) -> np.ndarray:
-        nv = float(np.linalg.norm(vec))
-        w = (vec / nv) @ basis if nv > 1e-12 else basis[0]
-        lo, hi = 0.0, t_hi
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            pt = math.cos(mid) * c + math.sin(mid) * w
-            if feasible(pt[None, :])[0]:
-                lo = mid
-            else:
-                hi = mid
-        return math.cos(lo) * c + math.sin(lo) * w
-
-    gram = samples @ samples.T
-    np.fill_diagonal(gram, 1.0)
-    i, j = np.unravel_index(int(np.argmin(gram)), gram.shape)
-
-    def comps(y: np.ndarray) -> np.ndarray:
-        w = y - float(c @ y) * c
-        wn = float(np.linalg.norm(w))
-        return (w / wn) @ basis.T if wn > 1e-12 else np.eye(m)[0]
-
-    x0 = np.concatenate([comps(samples[i]), comps(samples[j])])
-
-    def neg_dist(x: np.ndarray) -> float:
-        pq = bpoint(x[:m]) @ bpoint(x[m:])
-        return -float(np.arccos(np.clip(pq, -1.0, 1.0)))
-
-    res = optimize.minimize(
-        neg_dist, x0, method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 500, "maxfev": 700},
-    )
-    best = res.x if res.fun <= neg_dist(x0) else x0
-    return np.stack([bpoint(best[:m]), bpoint(best[m:])])
-
-
 def _hull_mask_fn(gens: GeneratorSet):
     """Certified membership test for the hull of the generators: the set
     of centers p with the body inside B[p, r], i.e. support margin of p at
@@ -495,16 +332,16 @@ def _hull_mask_fn(gens: GeneratorSet):
     return mask
 
 
-def r_hull(gens: GeneratorSet, n_support: int = 256, seed: int = 0, refine: bool = True) -> np.ndarray:
+def r_hull(gens: GeneratorSet, n_support: int = 256, seed: int = 0) -> np.ndarray:
     """Certified point sample of the hull of the generator set.
 
     The hull (ball hull) is the intersection of every radius-r ball whose
     center ball contains all generators; equivalently the set of centers p
     with the whole body inside B[p, r]. Points are pushed outward from the
-    minimax center against the certified membership test, a locally
-    refined farthest pair is appended, and the generators themselves (all
-    hull members) are included, so pairwise distances of the result give
-    sound lower estimates of the hull diameter.
+    minimax center against the certified membership test, the farthest
+    pair from ``hull_diameter`` is appended, and the generators themselves
+    (all hull members) are included, so pairwise distances of the result
+    give sound lower estimates of the hull diameter.
     """
     if n_support < 8:
         raise ValueError(f"n_support must be >= 8, got {n_support}")
@@ -522,16 +359,8 @@ def r_hull(gens: GeneratorSet, n_support: int = 256, seed: int = 0, refine: bool
     dirs = _tangent_dirs(c, n_dirs, rng)
     t_hi = min(gens.radius, math.pi - 1e-9)
     hull_pts = _push_to_boundary(c, dirs, hull_mask, t_hi)
-    hull_pts = np.vstack([gens.points, hull_pts])
-    if refine and len(hull_pts) >= 2:
-        if gens.dim == 2:
-            pair = _refine_farthest_pair(c, hull_mask, t_hi, hull_pts)
-        else:
-            # per-point certificates make the generic refiner expensive;
-            # the joint certified solve is cheap and just as sound
-            _, pair = hull_diameter(gens, seed=seed)
-        hull_pts = np.vstack([hull_pts, pair])
-    return hull_pts
+    _, pair = hull_diameter(gens, seed=seed)
+    return np.vstack([gens.points, hull_pts, pair])
 
 
 def hull_diameter(gens: GeneratorSet, seed: int = 0) -> tuple[float, np.ndarray]:

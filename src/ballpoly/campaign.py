@@ -25,6 +25,7 @@ from .sphere import (
     sample_wide_generator,
 )
 from . import ballbody, diskpoly, oracles, proofreplay
+from .proofreplay import _check
 
 __all__ = [
     "CampaignCell",
@@ -150,12 +151,6 @@ class VerificationReport:
             "passed": self.passed,
             "runtime_ms": self.runtime_ms,
         }
-
-
-def _check(lhs: float, rhs: float, tol: float) -> dict:
-    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
-    return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "tol": tol,
-            "passed": bool(lhs - rhs >= -tol)}
 
 
 def _instance_seed(campaign_seed: int, cell_idx: int, k: int) -> int:

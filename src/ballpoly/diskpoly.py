@@ -464,8 +464,7 @@ def support_margins_2d(gens: GeneratorSet, poles: np.ndarray,
     return np.minimum(np.minimum(v_start, v_end), v_int).min(axis=0)
 
 
-def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None,
-                     refine: bool = True) -> tuple[float, np.ndarray]:
+def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None) -> tuple[float, np.ndarray]:
     """Diameter of the hull of the generators, with a realizing point pair.
 
     The hull is the set of centers whose radius-r ball contains the whole
@@ -473,8 +472,7 @@ def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None,
     boundary consists of arcs of radius-r circles centered at anchor points
     (generators and body vertices), so the diameter is realized among the
     anchors themselves, the pairwise far extensions and intersections of
-    their circles; those finitely many candidates are enumerated exactly
-    and a local polish guards corner cases carved by long boundary arcs.
+    their circles; those finitely many candidates are enumerated exactly.
     """
     if gens.dim != 2:
         raise ValueError(f"hull_diameter_2d needs dim 2, got {gens.dim}")
@@ -490,8 +488,9 @@ def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None,
         for j, b in enumerate(anchors):
             if i == j:
                 continue
-            dab = spherical_distance(a, b)
-            if dab < 1e-9 or dab > math.pi - 1e-9:
+            # skip on the chord norm tangent_toward tests, not on the arccos
+            # distance, which reads points 1e-16 apart as 1.5e-8 apart
+            if float(np.linalg.norm(b - (a @ b) * a)) < 1e-14:
                 continue
             cand.append(geodesic_point(a, -tangent_toward(a, b), r))
             if i < j:
@@ -508,31 +507,7 @@ def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None,
     gram = np.clip(keep @ keep.T, -1.0, 1.0)
     np.fill_diagonal(gram, 1.0)
     i, j = np.unravel_index(int(np.argmin(gram)), gram.shape)
-    pair = keep[[i, j]]
-    best = float(np.arccos(gram[i, j]))
-
-    if refine and best > 1e-9:
-        bp = tangent_basis(pair[0])
-        bq = tangent_basis(pair[1])
-
-        def moved(x: np.ndarray) -> np.ndarray:
-            p = pair[0] + x[0] * bp[0] + x[1] * bp[1]
-            q = pair[1] + x[2] * bq[0] + x[3] * bq[1]
-            return np.stack([p / np.linalg.norm(p), q / np.linalg.norm(q)])
-
-        def score(x: np.ndarray) -> float:
-            pq = moved(x)
-            pen = float(np.clip(cos_r - support_margins_2d(gens, pq, boundary), 0.0, None).sum())
-            return -spherical_distance(pq[0], pq[1]) + 64.0 * pen
-
-        res = optimize.minimize(score, np.zeros(4), method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-13,
-                                         "maxiter": 400, "maxfev": 600})
-        pq = moved(res.x)
-        d_new = spherical_distance(pq[0], pq[1])
-        if d_new > best and float(np.min(support_margins_2d(gens, pq, boundary))) >= cos_r - 1e-10:
-            best, pair = d_new, pq
-    return best, pair
+    return float(np.arccos(gram[i, j])), keep[[i, j]]
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballpoly.ballbody import (
     boundary_sample_dual,
@@ -88,18 +89,85 @@ class TestMinimaxCenter:
             if dia > 1e-9:
                 assert radius <= jung_circumradius(gens.dim, dia) + 1e-8
 
-    def test_cached_result_is_identical(self):
+    def test_repeated_calls_are_byte_identical(self):
         pts = sample_uniform(2, 5, seed=77)
         pts = pts / np.linalg.norm(pts, axis=1)[:, None]
         # cluster the points into a hemisphere
         pts[pts[:, 2] < 0] *= -1
         a = minimax_center(pts)
         b = minimax_center(pts)
-        assert a is b
+        assert a.center.tobytes() == b.center.tobytes()
+        assert a.radius == b.radius
+        assert a.active == b.active
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [0.3, 1.0, HALF_PI])
+    def test_simplex_radius_is_the_jung_radius(self, d, r):
+        res = minimax_center(simplex_body(d, r).vertices)
+        assert res.radius == pytest.approx(jung_circumradius(d, r), abs=1e-14)
+        assert sorted(res.active) == list(range(d + 1))
+
+    def test_single_point_is_its_own_center(self):
+        p = unit_vector(np.array([0.3, -0.2, 0.9]))
+        res = minimax_center(p[None, :])
+        assert res.radius == 0.0
+        assert res.center.tobytes() == p.tobytes()
 
     def test_spread_points_are_rejected(self):
         with pytest.raises(ValueError):
             minimax_center(np.vstack([np.eye(3), -np.eye(3)]))
+
+    def test_points_on_a_closed_hemisphere_are_rejected(self):
+        with pytest.raises(ValueError):
+            minimax_center(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+def _full_weights(res, n: int) -> np.ndarray:
+    w = np.zeros(n)
+    w[list(res.active)] = res.weights
+    return w
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+_wide_gens = st.builds(
+    sample_wide_generator,
+    d=st.integers(2, 4),
+    r=st.sampled_from([0.3, 0.7, 1.2, HALF_PI]),
+    n_points=st.integers(2, 8),
+    seed=st.integers(0, 2**31 - 2),
+)
+
+
+class TestMinimaxProperties:
+    """Invariances of the exact minimax center."""
+
+    @_PROPERTY
+    @given(gens=_wide_gens, q_seed=st.integers(0, 2**31 - 2))
+    def test_rotation_moves_the_center_with_the_points(self, gens, q_seed):
+        k = gens.points.shape[1]
+        q, _ = np.linalg.qr(np.random.default_rng(q_seed).normal(size=(k, k)))
+        a = minimax_center(gens.points)
+        b = minimax_center(gens.points @ q.T)
+        assert b.radius == pytest.approx(a.radius, abs=1e-12)
+        assert np.linalg.norm(b.center - q @ a.center) < 1e-9
+
+    @_PROPERTY
+    @given(gens=_wide_gens, data=st.data())
+    def test_permutation_permutes_the_weights(self, gens, data):
+        n = gens.n_points
+        perm = np.array(data.draw(st.permutations(range(n))))
+        a = minimax_center(gens.points)
+        b = minimax_center(gens.points[perm])
+        assert b.radius == pytest.approx(a.radius, abs=1e-12)
+        assert np.abs(_full_weights(b, n) - _full_weights(a, n)[perm]).max() < 1e-9
+
+    @_PROPERTY
+    @given(gens=_wide_gens)
+    def test_adding_the_center_as_a_generator_changes_nothing(self, gens):
+        a = minimax_center(gens.points)
+        b = minimax_center(np.vstack([gens.points, a.center]))
+        assert b.radius == pytest.approx(a.radius, abs=1e-12)
 
 
 class TestInradius:

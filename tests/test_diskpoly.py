@@ -278,6 +278,15 @@ class TestSentinelMetrics:
         assert dh == pytest.approx(r, abs=1e-9)
         assert spherical_distance(pair[0], pair[1]) == pytest.approx(dh, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [k / 10 for k in range(1, 16)] + [HALF_PI])
+    def test_reuleaux_hull_diameter_over_a_radius_sweep(self, r):
+        # at r = 0.6, 1.0, 1.1 and 1.2 a body vertex lands 1e-16 from a
+        # generator, a pair the candidate enumeration must skip
+        gens = reuleaux_triangle(r)
+        dh, _ = hull_diameter_2d(gens)
+        assert dh == pytest.approx(r, abs=1e-9)
+        assert metrics(gens).hull_diameter == pytest.approx(r, abs=1e-9)
+
     def test_lens_width_hull_and_inradius(self):
         r, s = 0.7, 0.5
         gens = two_point_gens(r, s)
