@@ -579,9 +579,10 @@ def pole_margin_certificate(points: np.ndarray, radius: float, pole) -> float:
     return best
 
 
-def _make_feasible(pole: np.ndarray, c: np.ndarray, margin_fn) -> tuple[np.ndarray, float]:
-    """Slide an infeasible pole toward the interior direction c until its
-    exact support margin clears zero.
+def _make_feasible(pole: np.ndarray, c: np.ndarray, m_c: float,
+                   margin_fn) -> tuple[np.ndarray, float]:
+    """Slide an infeasible pole toward the interior direction c, whose
+    margin is ``m_c``, until its exact support margin clears zero.
 
     False-position root finding on the slerp parameter keeps the number of
     margin evaluations small (the margin can be an expensive solve for
@@ -596,7 +597,6 @@ def _make_feasible(pole: np.ndarray, c: np.ndarray, margin_fn) -> tuple[np.ndarr
     def at(tau: float) -> np.ndarray:
         return (math.sin((1 - tau) * omega) * pole + math.sin(tau * omega) * c) / math.sin(omega)
 
-    m_c = margin_fn(c)
     if m_c <= 0:
         return pole, m
     lo_t, lo_m = 0.0, m
@@ -690,13 +690,14 @@ def width_nd(gens: GeneratorSet, budget: int = 6, seed: int = 0, n_boundary: int
             v = _slsqp_pole(v, u, sample)
         candidates.append((u, v))
 
+    m_c = margin_fn(c)
     best_d = -1.0
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
     for u, v in candidates:
-        u, mu = _make_feasible(u, c, margin_fn)
+        u, mu = _make_feasible(u, c, m_c, margin_fn)
         if mu < -1e-9:
             continue
-        v, mv = _make_feasible(v, c, margin_fn)
+        v, mv = _make_feasible(v, c, m_c, margin_fn)
         if mv < -1e-9:
             continue
         d_uv = spherical_distance(u, v)

@@ -114,7 +114,7 @@ def circle_intersection(c1: np.ndarray, r1: float, c2: np.ndarray, r2: float) ->
     """
     c1 = unit_vector(c1)
     c2 = unit_vector(c2)
-    dot = float(np.clip(c1 @ c2, -1.0, 1.0))
+    dot = min(max(float(c1 @ c2), -1.0), 1.0)
     det = 1.0 - dot * dot
     if det < 1e-14:
         return np.empty((0, 3))

@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 ALG_TOL = 1e-12
 _DEFAULT_GEO_TOL = 1e-9
@@ -330,30 +329,58 @@ def _uniform_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 def sample_cap(center: np.ndarray, ang_radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points uniform on the cap of angular radius ``ang_radius`` about ``center``.
 
-    The height cos(theta) of a uniform point is a symmetric Beta(d/2, d/2)
-    variable on [-1, 1]; sampling truncates that law to [cos(ang_radius), 1]
-    by inverse CDF, then draws an independent uniform tangent direction.
+    The height t = <x, center> of a uniform point on S^d has density
+    proportional to (1 - t^2)^((d-2)/2) on [-1, 1]. On S^2 that is uniform,
+    so t is drawn uniform on [cos(ang_radius), 1]. For d >= 3 the depth
+    h = 1 - t is drawn by exact rejection: proposals uniform on [0, h0],
+    h0 = 2 sin^2(ang_radius / 2), accepted with probability
+    (h (2 - h) / M)^((d-2)/2), where M is the largest h (2 - h) on [0, h0].
+    Working in h keeps 1 - t^2 = h (2 - h) exact on tiny caps. The point is
+    then t * center plus sqrt(1 - t^2) times an independent uniform tangent
+    direction. Raises ValueError for a sphere dimension below 2.
     """
     center = np.asarray(center, dtype=float)
     k = center.shape[0]
     d = k - 1
+    if d < 2:
+        raise ValueError(f"sphere dimension must be >= 2, got {d}")
     if not 0.0 < ang_radius <= math.pi:
         raise ValueError(f"cap radius must lie in (0, pi], got {ang_radius}")
-    c0 = math.cos(ang_radius)
     if d == 2:
-        # Beta(1, 1) is uniform; the height is uniform on [cos(theta0), 1].
+        c0 = math.cos(ang_radius)
         u = rng.random(n)
         t = 1.0 - u * (1.0 - c0)
+        sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     else:
-        s0 = (1.0 + c0) / 2.0
-        f0 = special.betainc(d / 2.0, d / 2.0, s0)
-        u = f0 + (1.0 - f0) * rng.random(n)
-        s = special.betaincinv(d / 2.0, d / 2.0, u)
-        t = np.clip(2.0 * s - 1.0, c0, 1.0)
+        h = _cap_depths(2.0 * math.sin(ang_radius / 2.0) ** 2, d, n, rng)
+        t = 1.0 - h
+        sin_t = np.sqrt(h * (2.0 - h))
     basis = tangent_basis(center)
     w = _uniform_rows(rng, n, d)
-    sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     return t[:, None] * center[None, :] + sin_t[:, None] * (w @ basis)
+
+
+def _cap_depths(h0: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n depths h = 1 - t on [0, h0] with density proportional to
+    (h (2 - h))^((d-2)/2), d >= 3, by rejection from the uniform law."""
+    a = (d - 2) / 2.0
+    # Acceptance odds h(2-h)/M in a form that cannot underflow on tiny caps:
+    # with h = h0 u and h0 <= 1 they are u (2 - h) / (2 - h0) >= u, so the
+    # acceptance rate is at least E[u^a] = 2/d. For h0 > 1 (M = 1) the odds
+    # on [1, h0] mirror those on [2 - h0, 1], which exceed their mean over
+    # [0, 1], so the rate stays above its value at h0 = 1. Each round
+    # therefore proposes d/2 times the points still missing.
+    out = np.empty(n)
+    got = 0
+    while got < n:
+        m = int((n - got) * d / 2.0) + 16
+        u = rng.random(m)
+        h = h0 * u
+        odds = u * (2.0 - h) / (2.0 - h0) if h0 <= 1.0 else h * (2.0 - h)
+        keep = h[rng.random(m) < odds ** a][:n - got]
+        out[got:got + keep.size] = keep
+        got += keep.size
+    return out
 
 
 def sample_wide_generator(d: int, r: float, n_points: int, seed: int) -> GeneratorSet:

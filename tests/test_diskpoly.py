@@ -111,6 +111,32 @@ class TestCircleHelpers:
         c2 = unit_vector([math.sin(0.05), 0.0, math.cos(0.05)])
         assert circle_intersection(c1, 0.8, c2, 0.1).shape == (0, 3)
 
+    def test_intersection_clamp_matches_np_clip_bit_for_bit(self):
+        def with_np_clip(c1, r1, c2, r2):
+            c1, c2 = unit_vector(c1), unit_vector(c2)
+            dot = float(np.clip(c1 @ c2, -1.0, 1.0))
+            det = 1.0 - dot * dot
+            q1, q2 = math.cos(r1), math.cos(r2)
+            a, b = (q1 - q2 * dot) / det, (q2 - q1 * dot) / det
+            s = math.sqrt(max((1.0 - (a * q1 + b * q2)) / det, 0.0))
+            n = np.cross(c1, c2)
+            pts = np.stack([a * c1 + b * c2 + s * n, a * c1 + b * c2 - s * n])
+            return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+        rng = np.random.default_rng(4117)
+        for _ in range(300):
+            c1 = unit_vector(rng.normal(size=3))
+            c2 = unit_vector(c1 + rng.uniform(0.05, 1.0) * rng.normal(size=3))
+            r1, r2 = rng.uniform(0.3, HALF_PI, size=2)
+            got = circle_intersection(c1, r1, c2, r2)
+            if got.shape[0]:
+                assert got.tobytes() == with_np_clip(c1, r1, c2, r2).tobytes()
+
+    def test_intersection_with_a_nan_axis_is_nan(self):
+        c1 = np.array([math.nan, 0.0, 1.0])
+        pts = circle_intersection(c1, 0.5, unit_vector([0.3, 0.0, 1.0]), 0.5)
+        assert pts.shape == (2, 3) and np.all(np.isnan(pts))
+
 
 class TestCross3:
     """The scalar cross product must reproduce np.cross bit for bit, so the

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from ballpoly.sphere import (
     GeneratorSet,
@@ -258,6 +259,52 @@ class TestSampling:
         pts = sample_cap(center, 0.35, 300, rng)
         dots = pts @ center
         assert np.all(np.arccos(np.clip(dots, -1, 1)) <= 0.35 + 1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 10])
+    def test_sample_cap_heights_follow_the_truncated_beta_law(self, d):
+        # P(t >= s) on the cap is I_{(1-s)/2}(d/2, d/2) / I_{h0/2}(d/2, d/2)
+        center = unit_vector(np.arange(1.0, d + 2.0))
+        for theta in (0.3, 0.8, HALF_PI, 2.5, math.pi):
+            rng = np.random.default_rng([d, int(1000 * theta)])
+            t = sample_cap(center, theta, 20_000, rng) @ center
+            h0 = 2.0 * math.sin(theta / 2.0) ** 2
+            tail = special.betainc(d / 2.0, d / 2.0, h0 / 2.0)
+
+            def cdf(s):
+                depth = np.clip((1.0 - s) / 2.0, 0.0, h0 / 2.0)
+                return 1.0 - special.betainc(d / 2.0, d / 2.0, depth) / tail
+
+            assert stats.kstest(t, cdf).pvalue > 1e-4, (d, theta)
+
+    def test_sample_cap_tiny_cap_finishes_inside_the_cap(self):
+        # d >= 3 only: the S^2 branch forms 1 - t^2 by cancellation
+        theta = 1e-6
+        for d in (3, 6, 10):
+            center = unit_vector(np.linspace(-1.0, 2.0, d + 1))
+            pts = sample_cap(center, theta, 5000, np.random.default_rng(d))
+            assert pts.shape == (5000, d + 1)
+            assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-15)
+            # arccos cannot resolve 1e-6 radians; compare the tangent part
+            t = pts @ center
+            off = np.linalg.norm(pts - t[:, None] * center[None, :], axis=1)
+            assert np.all(t > 0.0)
+            assert np.all(off <= math.sin(theta) * (1.0 + 1e-9))
+
+    def test_sample_cap_on_s2_keeps_the_uniform_height_stream(self):
+        center = unit_vector([0.3, -0.2, 0.9])
+        for theta in (0.2, HALF_PI, math.pi):
+            got = sample_cap(center, theta, 500, np.random.default_rng(11))
+            rng = np.random.default_rng(11)
+            t = 1.0 - rng.random(500) * (1.0 - math.cos(theta))
+            g = rng.standard_normal((500, 2))
+            w = g / np.linalg.norm(g, axis=1)[:, None]
+            sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+            want = t[:, None] * center[None, :] + sin_t[:, None] * (w @ tangent_basis(center))
+            assert got.tobytes() == want.tobytes()
+
+    def test_sample_cap_rejects_a_circle(self):
+        with pytest.raises(ValueError, match="sphere dimension must be >= 2"):
+            sample_cap(np.array([1.0, 0.0]), 0.5, 10, np.random.default_rng(0))
 
     def test_sample_wide_generator_is_wide_and_deterministic(self):
         for d, r in ((2, 0.3), (2, HALF_PI), (3, 0.8)):
