@@ -1,9 +1,10 @@
 """Intersections of congruent balls on spheres.
 
-Exact boundary structure, area, width, inradius and duality for ball
-intersections on S^2; dimension-generic centers, volumes, hulls and width
-estimates on S^d; a numerical replay of the minimal-area argument; and a
-verification campaign that checks every inequality on sampled corpora.
+Exact boundary structure, area, inradius and duality for ball
+intersections on S^2; the exact width 2r - diam X and dimension-generic
+centers, volumes and hulls on S^d; a numerical replay of the minimal-area
+argument; and a verification campaign that checks every inequality on
+sampled corpora.
 """
 
 from .sphere import (
@@ -33,7 +34,6 @@ from .ballbody import (
     MinimaxResult,
     SimplexBody,
     VolumeEstimate,
-    WidthEstimate,
     boundary_sample_dual,
     cap_volume,
     circumradius_minimax,

@@ -6,8 +6,8 @@ dimension-generic operations: the exact minimax (Chebyshev) center of a
 point set by one least-distance (NNLS) solve, inradius via the center
 identity, regular simplex generator sets, Monte Carlo volume, the
 dimension-dependent volume lower-bound constant, outer approximations of
-the second dual (the hull obtained by dualizing twice), and a stochastic
-upper estimator for the minimal lune width.
+the second dual (the hull obtained by dualizing twice), and the exact
+minimal lune width 2r - diam X with its witness lune.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .sphere import (
     GeneratorSet,
     Lune,
     as_unit_rows,
-    diameter,
     geo_tol,
     geodesic_point,
     jung_circumradius,
@@ -40,7 +39,6 @@ __all__ = [
     "MinimaxResult",
     "SimplexBody",
     "VolumeEstimate",
-    "WidthEstimate",
     "boundary_sample_dual",
     "cap_volume",
     "circumradius_minimax",
@@ -54,7 +52,6 @@ __all__ = [
     "schramm_bound",
     "simplex_body",
     "sphere_volume",
-    "support_margin_nd",
     "width_nd",
 ]
 
@@ -462,87 +459,6 @@ def hull_diameter(gens: GeneratorSet, seed: int = 0) -> tuple[float, np.ndarray]
     return best, pair
 
 
-# ---------------------------------------------------------------------------
-# Width
-
-
-@dataclass(frozen=True)
-class WidthEstimate:
-    """Upper estimate of the minimal width of a lune containing the body.
-
-    ``witness`` is the realizing lune, or None in the degenerate hemisphere
-    case (value pi). ``certified_lower`` records whether the estimate
-    respects the theoretical floor value >= radius.
-    """
-
-    value: float
-    witness: Lune | None
-    certified_lower: bool
-    n_boundary: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "certified_lower": self.certified_lower,
-            "n_boundary": self.n_boundary,
-            "seed": self.seed,
-        }
-
-
-def _slsqp_pole(u0: np.ndarray, v: np.ndarray, sample: np.ndarray) -> np.ndarray:
-    """Move the pole u to minimize <u, v> subject to the sampled hemisphere
-    constraints <u, p> >= 0 and |u| = 1. Falls back to u0 on failure."""
-    cons = (
-        {"type": "ineq", "fun": lambda u: sample @ u, "jac": lambda u: sample},
-        {"type": "eq", "fun": lambda u: u @ u - 1.0, "jac": lambda u: 2.0 * u},
-    )
-    res = optimize.minimize(
-        lambda u: float(u @ v), u0, jac=lambda u: v,
-        method="SLSQP", constraints=cons,
-        options={"maxiter": 80, "ftol": 1e-12},
-    )
-    u = np.asarray(res.x, dtype=float)
-    nu = float(np.linalg.norm(u))
-    if nu < 1e-9:
-        return u0
-    u = u / nu
-    if float(np.min(sample @ u)) < -1e-7:
-        return u0
-    return u
-
-
-def support_margin_nd(gens: GeneratorSet, pole: np.ndarray, sample: np.ndarray) -> float:
-    """Upper estimate of min over the body of <pole, y>.
-
-    Takes the minimum of the sampled margin and a local constrained solve
-    seeded at the worst sample point. Both evaluate at feasible body
-    points, so the result can only overstate the true margin: a negative
-    value refutes the pole, a nonnegative one is not a proof (use
-    pole_margin_certificate for that direction)."""
-    sample_margin = float(np.min(sample @ pole))
-    y0 = sample[int(np.argmin(sample @ pole))]
-    cos_r = math.cos(gens.radius)
-    cons = (
-        {"type": "ineq", "fun": lambda y: gens.points @ y - cos_r, "jac": lambda y: gens.points},
-        {"type": "eq", "fun": lambda y: y @ y - 1.0, "jac": lambda y: 2.0 * y},
-    )
-    res = optimize.minimize(
-        lambda y: float(y @ pole), y0, jac=lambda y: pole,
-        method="SLSQP", constraints=cons,
-        options={"maxiter": 120, "ftol": 1e-14},
-    )
-    values = [sample_margin]
-    y = np.asarray(res.x, dtype=float)
-    ny = float(np.linalg.norm(y))
-    if res.success and ny > 1e-9:
-        y = y / ny
-        if float(np.min(gens.points @ y)) >= cos_r - 1e-9:
-            values.append(float(y @ pole))
-    return min(values)
-
-
 def pole_margin_certificate(points: np.ndarray, radius: float, pole) -> float:
     """Certified lower bound on min over the body of <pole, y>.
 
@@ -554,6 +470,11 @@ def pole_margin_certificate(points: np.ndarray, radius: float, pole) -> float:
     the margin from below; the bound is re-evaluated exactly at the final
     weights, so the result is sound regardless of solver quality. Unlike
     sampled margins this can prove feasibility, not just refute it.
+
+    The best weight on the generator x nearest the pole alone gives
+    cos(d(x, pole) + radius), the margin over B[x, radius]. It is taken in
+    closed form, since the solver stalls at the kink of the norm when that
+    bound has a zero residual (a pole on a generator).
     """
     g = np.asarray(points, dtype=float)
     u = np.asarray(pole, dtype=float)
@@ -569,55 +490,18 @@ def pole_margin_certificate(points: np.ndarray, radius: float, pole) -> float:
         lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
         return b * float(lam.sum()) - float(np.linalg.norm(g.T @ lam - u))
 
+    near = np.zeros(n)
+    i = int(np.argmax(g @ u))
+    c = float(g[i] @ u)
+    near[i] = c + b * math.sqrt(max(1.0 - c * c, 0.0)) / math.sin(radius)
     sol0, *_ = np.linalg.lstsq(g.T, u, rcond=None)
-    best = max(exact_at(np.zeros(n)), exact_at(sol0))
+    best = max(exact_at(np.zeros(n)), exact_at(sol0), exact_at(near))
     for s0 in (np.clip(sol0, 0.0, None), np.full(n, 1.0 / n)):
         res = optimize.minimize(neg_bound, s0, jac=True, method="L-BFGS-B",
                                 bounds=[(0.0, None)] * n,
                                 options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-14})
         best = max(best, exact_at(res.x))
     return best
-
-
-def _make_feasible(pole: np.ndarray, c: np.ndarray, m_c: float,
-                   margin_fn) -> tuple[np.ndarray, float]:
-    """Slide an infeasible pole toward the interior direction c, whose
-    margin is ``m_c``, until its exact support margin clears zero.
-
-    False-position root finding on the slerp parameter keeps the number of
-    margin evaluations small (the margin can be an expensive solve for
-    d >= 3); the returned pole is always from the feasible side."""
-    m = margin_fn(pole)
-    if m >= -1e-12:
-        return pole, m
-    omega = spherical_distance(pole, c)
-    if omega < 1e-14:
-        return pole, m
-
-    def at(tau: float) -> np.ndarray:
-        return (math.sin((1 - tau) * omega) * pole + math.sin(tau * omega) * c) / math.sin(omega)
-
-    if m_c <= 0:
-        return pole, m
-    lo_t, lo_m = 0.0, m
-    hi_t, hi_m = 1.0, m_c
-    best_p, best_m = c, m_c
-    for _ in range(16):
-        if hi_m - lo_m > 1e-16:
-            t = lo_t + (hi_t - lo_t) * (-lo_m) / (hi_m - lo_m)
-        else:
-            t = 0.5 * (lo_t + hi_t)
-        t = min(max(t, lo_t + 1e-13), hi_t - 1e-13)
-        p = at(t)
-        mt = margin_fn(p)
-        if mt >= 0.0:
-            hi_t, hi_m = t, mt
-            best_p, best_m = p, mt
-        else:
-            lo_t, lo_m = t, mt
-        if hi_t - lo_t < 1e-12:
-            break
-    return best_p, best_m
 
 
 def _top_pairs(points: np.ndarray, k: int) -> list[tuple[int, int]]:
@@ -628,98 +512,54 @@ def _top_pairs(points: np.ndarray, k: int) -> list[tuple[int, int]]:
     return [(i, j) for _, i, j in pairs[:k]]
 
 
-def width_nd(gens: GeneratorSet, budget: int = 6, seed: int = 0, n_boundary: int = 512) -> WidthEstimate:
-    """Stochastic minimization of lune width over lunes containing the body.
 
-    Multistart local search over pole pairs: deterministic starts from the
-    farthest generator pairs (whose collinear poles are exactly feasible),
-    plus random supporting poles; each start alternates constrained solves
-    against a boundary sample. Final candidates are repaired to exact
-    feasibility, so the returned value is an upper bound on the true width
-    up to solver tolerance.
+
+# ---------------------------------------------------------------------------
+# Width
+
+
+def width_nd(gens: GeneratorSet) -> tuple[float, Lune | None]:
+    """Minimal width over lunes containing the body, with a witness lune.
+
+    Write K for the body, D = diam X, rho = pi/2 - r, and H = {z : K in
+    B[z, r]} for the hull of X (it contains X). A lune with poles u, v has
+    width pi - d(u, v) and contains K iff u and v lie in the polar body
+    K* = {u : K in B[u, pi/2]}, so the minimal width is pi - diam K*.
+
+    * K* is the set of points within rho of H. If d(u, z) <= rho for some
+      z in H, then K lies in B[u, r + rho]. Conversely, let y be a point of
+      K farthest from u, at delta <= pi/2. If delta <= r, u is in H.
+      Otherwise the tangent t at y toward u is a nonnegative combination of
+      the tangents toward the generators at distance r from y (optimality
+      of y). For any y' in K, the spherical law of cosines with cos r >= 0
+      makes the tangents s at y with d(exp_y(r s), y') <= r a cap of
+      angular radius at most pi/2; it holds those generator tangents, so it
+      holds t. Hence z = exp_y(r t), at delta - r <= rho from u, is in H.
+    * diam H = D. Take x in X; as x is in K, H lies in B[x, r]. For z in
+      B[x, r] outside B[x, D], the point c at r - D beyond x on the
+      geodesic from z has X in B[c, r] and d(z, c) > r, so z is not in H:
+      H lies in B[x, D]. Then X plus any z in H still has diameter D, and
+      its hull, which contains H, lies in B[z, D].
+    * So diam K* <= D + 2 rho, and pushing a farthest generator pair
+      (a, b) apart by rho each along their great circle attains it, since
+      D + 2 rho <= pi - r < pi.
+
+    The width is therefore exactly 2r - D. Each witness pole is within rho
+    of a generator, hence within pi/2 of every body point, so the lune
+    soundly contains K. A single generator (or coincident ones) has every
+    tangent direction farthest and gives 2r; at radius pi/2 that is a
+    hemisphere, returned as (pi, None) since no lune has antipodal poles.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    r = gens.radius
-    rho = math.pi / 2 - r
+    rho = max(math.pi / 2 - gens.radius, 0.0)
     pts = gens.points
-
-    if gens.n_points == 1 and rho < 1e-12:
-        # Single hemisphere: no finite-width lune contains it.
-        return WidthEstimate(math.pi, None, True, 0, seed)
-
-    res = minimax_center(pts)
-    c = res.center
-    sample = boundary_sample_dual(gens, n_boundary, seed)
-
-    if gens.dim == 2:
-        from . import diskpoly
-
-        boundary = diskpoly.boundary_structure(gens)
-
-        def margin_fn(pole: np.ndarray) -> float:
-            return diskpoly.support_margin_2d(gens, pole, boundary)
+    i, j = np.unravel_index(int(np.argmin(pts @ pts.T)), (gens.n_points,) * 2)
+    a, b = pts[i], pts[j]
+    if float(np.linalg.norm(b - (a @ b) * a)) < 1e-14:
+        if rho < 1e-12:
+            return math.pi, None
+        e = tangent_basis(a)[0]
+        u, v = geodesic_point(a, e, rho), geodesic_point(a, -e, rho)
     else:
-        # sampled margins refute but cannot prove feasibility, so final
-        # acceptance goes through the sound certificate
-        def margin_fn(pole: np.ndarray) -> float:
-            return pole_margin_certificate(pts, r, pole)
-
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    if gens.n_points == 1:
-        e = tangent_basis(pts[0])[0]
-        starts.append((geodesic_point(pts[0], e, rho), geodesic_point(pts[0], -e, rho)))
-    for i, j in _top_pairs(pts, 3):
-        t_ij = tangent_toward(pts[i], pts[j])
-        t_ji = tangent_toward(pts[j], pts[i])
-        starts.append((geodesic_point(pts[i], -t_ij, rho) if rho > 0 else pts[i],
-                       geodesic_point(pts[j], -t_ji, rho) if rho > 0 else pts[j]))
-
-    rng = np.random.default_rng([seed, 331])
-    while len(starts) < budget:
-        e = _tangent_dirs(c, 1, rng)[0]
-        u0 = _supporting_pole(c, e, sample)
-        v0 = _supporting_pole(c, -e, sample)
-        starts.append((u0, v0))
-
-    candidates: list[tuple[np.ndarray, np.ndarray]] = list(starts[:budget])
-    for u0, v0 in starts[:budget]:
-        u, v = u0.copy(), v0.copy()
-        for _ in range(3):
-            u = _slsqp_pole(u, v, sample)
-            v = _slsqp_pole(v, u, sample)
-        candidates.append((u, v))
-
-    m_c = margin_fn(c)
-    best_d = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    for u, v in candidates:
-        u, mu = _make_feasible(u, c, m_c, margin_fn)
-        if mu < -1e-9:
-            continue
-        v, mv = _make_feasible(v, c, m_c, margin_fn)
-        if mv < -1e-9:
-            continue
-        d_uv = spherical_distance(u, v)
-        if d_uv > best_d:
-            best_d, best_pair = d_uv, (u, v)
-
-    if best_pair is None or best_d <= 1e-12:
-        return WidthEstimate(math.pi, None, math.pi >= r - 1e-6, n_boundary, seed)
-    value = math.pi - best_d
-    witness = Lune(best_pair[0], best_pair[1]) if best_d < math.pi - 1e-12 else None
-    return WidthEstimate(value, witness, value >= r - 1e-6, n_boundary, seed)
-
-
-def _supporting_pole(c: np.ndarray, e: np.ndarray, sample: np.ndarray) -> np.ndarray:
-    """Push a pole from the interior direction c outward along the great
-    circle through c and tangent e until the sampled margin hits zero."""
-    lo, hi = 0.0, math.pi
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        u = math.cos(mid) * c + math.sin(mid) * e
-        if float(np.min(sample @ u)) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.cos(lo) * c + math.sin(lo) * e
+        u = geodesic_point(a, -tangent_toward(a, b), rho)
+        v = geodesic_point(b, -tangent_toward(b, a), rho)
+    return math.pi - spherical_distance(u, v), Lune(u, v)

@@ -61,8 +61,6 @@ class CampaignConfig:
     max_points: int = 8
     mc_area_n: int = 20_000
     volume_n: int = 200_000
-    width_boundary: int = 384
-    width_budget: int = 4
     grid_dirs: int = 96
     replay_samples: int = 2400
 
@@ -74,8 +72,6 @@ class CampaignConfig:
             "max_points": self.max_points,
             "mc_area_n": self.mc_area_n,
             "volume_n": self.volume_n,
-            "width_boundary": self.width_boundary,
-            "width_budget": self.width_budget,
             "grid_dirs": self.grid_dirs,
             "replay_samples": self.replay_samples,
         }
@@ -86,8 +82,7 @@ class CampaignConfig:
                       for c in obj["cells"])
         kwargs = {k: obj[k] for k in (
             "seed", "min_points", "max_points", "mc_area_n", "volume_n",
-            "width_boundary", "width_budget", "grid_dirs",
-            "replay_samples") if k in obj}
+            "grid_dirs", "replay_samples") if k in obj}
         return cls(cells=cells, **kwargs)
 
 
@@ -102,7 +97,6 @@ def default_config(quick: bool = False, seed: int = 20260821) -> CampaignConfig:
             CampaignCell(3, math.pi / 2, 2),
         )
         return CampaignConfig(cells=cells, seed=seed, mc_area_n=4000, volume_n=20_000,
-                              width_boundary=128, width_budget=3,
                               grid_dirs=48, replay_samples=600)
     cells = (
         CampaignCell(2, 0.3, 200),
@@ -190,23 +184,28 @@ def evaluate_instance(gens: GeneratorSet, config: CampaignConfig,
     if sentinel:
         checks["sentinel_inradius_exact"] = _check(1e-8, abs(rin - (r - rj)), 0.0)
 
-    hull_diam, _ = ballbody.hull_diameter(gens, seed=seed)
+    if d == 2:
+        boundary = diskpoly.boundary_structure(gens)
+        hull_diam, _ = diskpoly.hull_diameter_2d(gens, boundary)
+    else:
+        hull_diam, _ = ballbody.hull_diameter(gens, seed=seed)
     hull_diam = float(hull_diam)
     metrics["hull_diameter"] = hull_diam
     checks["hull_diameter"] = _check(r, hull_diam, 5e-3)
 
+    width, witness = ballbody.width_nd(gens)
+    metrics["width"] = float(width)
+    checks["width_floor"] = _check(width, r, 1e-6)
+    if sentinel:
+        checks["sentinel_width_exact"] = _check(1e-8, abs(width - r), 0.0)
+    checks["width_plus_hull_diameter"] = _check(width + hull_diam, 2 * r, 1e-2)
+
     if d == 2:
-        boundary = diskpoly.boundary_structure(gens)
         body_area = diskpoly.area(boundary)
         metrics["area"] = float(body_area)
         metrics["perimeter"] = float(diskpoly.perimeter(boundary))
         checks["area_floor"] = _check(body_area, diskpoly.reuleaux_area(r), 1e-9)
-
-        width, _witness = diskpoly.width_2d(gens, boundary)
-        metrics["width"] = float(width)
-        checks["width_floor"] = _check(width, r, 1e-6)
         if sentinel:
-            checks["sentinel_width_exact"] = _check(1e-8, abs(width - r), 0.0)
             checks["sentinel_area_exact"] = _check(
                 1e-9, abs(body_area - diskpoly.reuleaux_area(r)), 0.0)
 
@@ -215,16 +214,14 @@ def evaluate_instance(gens: GeneratorSet, config: CampaignConfig,
         checks["area_mc_3sigma"] = _check(area_mc.error_bound,
                                           abs(body_area - area_mc.value), 0.0)
 
-        width_grid = oracles.oracle_width_grid(gens, config.grid_dirs)
+        width_grid = oracles.oracle_width_grid(gens, config.grid_dirs, boundary)
         metrics["width_grid"] = float(width_grid.value)
         checks["width_grid_agree"] = _check(width_grid.error_bound + 1e-5,
                                             abs(width - width_grid.value), 0.0)
 
-        checks["width_plus_hull_diameter"] = _check(width + hull_diam, 2 * r, 1e-2)
-
         try:
             trace = proofreplay.replay_instance(gens, n_samples=config.replay_samples,
-                                                seed=seed ^ 0x2E3D)
+                                                seed=seed ^ 0x2E3D, boundary=boundary)
             metrics["replay_branch"] = trace.branch
             for name, chk in trace.checks.items():
                 checks[f"replay_{name}"] = chk
@@ -234,13 +231,13 @@ def evaluate_instance(gens: GeneratorSet, config: CampaignConfig,
                 "lhs": 0.0, "rhs": 1.0, "margin": -1.0, "tol": 0.0,
                 "passed": False, "error": f"{type(exc).__name__}: {exc}"}
     else:
-        width_est = ballbody.width_nd(gens, budget=config.width_budget,
-                                      seed=seed ^ 0x77F1, n_boundary=config.width_boundary)
-        metrics["width"] = float(width_est.value)
-        checks["width_floor"] = _check(width_est.value, r, 1e-3)
-        if sentinel:
-            checks["sentinel_width_exact"] = _check(1e-3, abs(width_est.value - r), 0.0)
-        checks["width_plus_hull_diameter"] = _check(width_est.value + hull_diam, 2 * r, 1e-2)
+        if witness is not None:
+            # the certificate bounds each pole's support margin from below,
+            # so passing proves the witness lune contains the body and the
+            # width is not overstated
+            cert = min(ballbody.pole_margin_certificate(gens.points, r, pole)
+                       for pole in (witness.u, witness.v))
+            checks["width_witness_certified"] = _check(cert, 0.0, 1e-9)
 
         vol = ballbody.mc_volume(gens, config.volume_n, seed=seed ^ 0x1C9B)
         metrics["volume"] = float(vol.value)

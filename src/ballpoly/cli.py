@@ -109,11 +109,11 @@ def _cmd_metrics(args) -> int:
         payload = met.to_json()
     else:
         rin, _ = ballbody.inradius_nd(gens)
-        width = ballbody.width_nd(gens, seed=args.seed)
+        width, _ = ballbody.width_nd(gens)
         hull_diam, _ = ballbody.hull_diameter(gens, seed=args.seed)
         payload = {
             "inradius": rin,
-            "width": width.value,
+            "width": width,
             "hull_diameter": hull_diam,
             "circumradius": ballbody.circumradius_minimax(gens.points)[0],
         }

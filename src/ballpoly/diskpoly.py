@@ -3,7 +3,8 @@
 The body of a 2-d generator set is a convex domain bounded by arcs of the
 generator circles. This module computes that arc structure explicitly and
 everything downstream of it: Gauss-Bonnet area, perimeter, exact support
-margins, minimal lune width through the polar-dual curve, and inradius.
+margins, the hull diameter and inradius, and the minimal lune width by the
+closed form 2r - diam X.
 
 Orientation convention: every boundary cycle is traversed counterclockwise
 as seen from outside the sphere, with the domain on the left. An arc's
@@ -14,11 +15,11 @@ complement (used by the tangent-cap constructions in the proof replay).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .sphere import (
     ALG_TOL,
@@ -180,6 +181,23 @@ class ArcBoundary:
         if not self.arcs:
             return np.empty((0, 3))
         return np.stack([a.start for a in self.arcs])
+
+    @functools.cached_property
+    def arc_table(self) -> tuple[np.ndarray, ...]:
+        """Per-arc arrays (centers, f0, f1, t0, spans): arc k is the
+        carrier point at angle t in [t0[k], t0[k] + spans[k]] of the frame
+        (f0[k], f1[k]) about centers[k]. Built once per boundary."""
+        centers = np.stack([a.center for a in self.arcs])
+        f0 = np.empty_like(centers)
+        f1 = np.empty_like(centers)
+        t0s = np.empty(len(self.arcs))
+        spans = np.empty(len(self.arcs))
+        for i, arc in enumerate(self.arcs):
+            frame = circle_basis(arc.center)
+            f0[i], f1[i] = frame[0], frame[1]
+            t0s[i] = circle_angle(arc.center, arc.start, frame)
+            spans[i] = arc.span
+        return centers, f0, f1, t0s, spans
 
     def to_json(self) -> dict:
         return {
@@ -438,17 +456,7 @@ def support_margins_2d(gens: GeneratorSet, poles: np.ndarray,
         d = np.arccos(np.clip(poles @ x, -1.0, 1.0))
         return np.cos(np.minimum(d + r, math.pi))
 
-    centers = np.stack([a.center for a in boundary.arcs])
-    f0 = np.empty_like(centers)
-    f1 = np.empty_like(centers)
-    t0s = np.empty(len(boundary.arcs))
-    spans = np.empty(len(boundary.arcs))
-    for i, arc in enumerate(boundary.arcs):
-        frame = circle_basis(arc.center)
-        f0[i], f1[i] = frame[0], frame[1]
-        t0s[i] = circle_angle(arc.center, arc.start, frame)
-        spans[i] = arc.span
-
+    centers, f0, f1, t0s, spans = boundary.arc_table
     sin_r, cos_r = math.sin(r), math.cos(r)
     base = cos_r * (centers @ poles.T)
     a_coef = sin_r * (f0 @ poles.T)
@@ -510,142 +518,12 @@ def hull_diameter_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None) ->
     return float(np.arccos(gram[i, j])), keep[[i, j]]
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    omega = spherical_distance(a, b)
-    if omega < 1e-14:
-        return a
-    return (math.sin((1 - s) * omega) * a + math.sin(s * omega) * b) / math.sin(omega)
-
-
-def _dual_curve_pieces(boundary: ArcBoundary) -> list:
-    """Piecewise parametrization of the boundary of the feasible-pole
-    region (the polar body): one shrunk arc per boundary arc plus a
-    geodesic fan across every vertex. Each entry is eval: [0, 1] -> S^2."""
-    r = boundary.radius
-    rho = math.pi / 2 - r
-    arcs = boundary.arcs
-    pieces = []
-    duals = []
-    for arc in arcs:
-        frame = circle_basis(arc.center)
-        t0 = circle_angle(arc.center, arc.start, frame)
-        # pole supporting the body at boundary point angle t sits on the
-        # same carrier axis at angle t + pi, colatitude pi/2 - r
-        def cap_eval(s, center=arc.center, frame=frame, t0=t0, span=arc.span):
-            return circle_point(center, rho, t0 + math.pi + s * span, frame)
-        pieces.append(cap_eval)
-        duals.append((cap_eval(0.0), cap_eval(1.0)))
-    m = len(arcs)
-    out = []
-    for k in range(m):
-        out.append(pieces[k])
-        a = duals[k][1]
-        b = duals[(k + 1) % m][0]
-
-        def fan_eval(s, a=a, b=b):
-            return _slerp(a, b, s)
-
-        out.append(fan_eval)
-    return out
-
-
-def _curve_point(pieces: list, s: float) -> np.ndarray:
-    n = len(pieces)
-    s = s % n
-    idx = min(int(s), n - 1)
-    return pieces[idx](s - idx)
-
-
-def width_2d(gens: GeneratorSet, boundary: ArcBoundary | None = None) -> tuple[float, Lune | None]:
-    """Minimal width over lunes containing the body, with a witness lune.
-
-    The minimal width equals pi minus the diameter of the feasible-pole
-    region; its boundary curve is searched by dense sampling plus local
-    refinement, and closed-form candidate poles collinear with generator
-    pairs are always included (these realize the optimum for tight
-    two-point and Reuleaux configurations exactly). Returns (pi, None) for
-    a single generator at radius pi/2.
-    """
+def width_2d(gens: GeneratorSet) -> tuple[float, Lune | None]:
+    """Minimal width over lunes containing a 2-d body, with a witness lune:
+    the closed form 2r - diam X of ``ballbody.width_nd``."""
     if gens.dim != 2:
         raise ValueError(f"width_2d requires sphere dimension 2, got {gens.dim}")
-    r = gens.radius
-    rho = math.pi / 2 - r
-    if boundary is None:
-        boundary = boundary_structure(gens)
-
-    if boundary.full_ball is not None:
-        x = boundary.full_ball.center
-        if rho < 1e-12:
-            return math.pi, None
-        e = tangent_basis(x)[0]
-        u = geodesic_point(x, e, rho)
-        v = geodesic_point(x, -e, rho)
-        return math.pi - spherical_distance(u, v), Lune(u, v)
-
-    def margin(p: np.ndarray) -> float:
-        return support_margin_2d(gens, p, boundary)
-
-    best_d = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-
-    def consider(u: np.ndarray, v: np.ndarray) -> None:
-        nonlocal best_d, best_pair
-        d = spherical_distance(u, v)
-        if d > best_d:
-            best_d, best_pair = d, (u, v)
-
-    # closed-form candidates: pole pairs collinear with a generator pair
-    pts = gens.points
-    for i in range(gens.n_points):
-        for j in range(i + 1, gens.n_points):
-            if spherical_distance(pts[i], pts[j]) < 1e-12:
-                continue
-            t_ij = tangent_toward(pts[i], pts[j])
-            t_ji = tangent_toward(pts[j], pts[i])
-            u = geodesic_point(pts[i], -t_ij, rho) if rho > 0 else pts[i]
-            v = geodesic_point(pts[j], -t_ji, rho) if rho > 0 else pts[j]
-            if margin(u) >= -1e-9 and margin(v) >= -1e-9:
-                consider(u, v)
-
-    # polar-dual boundary curve: dense sampling plus Nelder-Mead polish
-    pieces = _dual_curve_pieces(boundary)
-    n_pieces = len(pieces)
-    per = 48
-    params = np.concatenate([k + np.linspace(0.0, 1.0, per, endpoint=False)
-                             for k in range(n_pieces)])
-    curve = np.stack([_curve_point(pieces, s) for s in params])
-    gram = curve @ curve.T
-    np.fill_diagonal(gram, 1.0)
-
-    flat = np.argsort(gram, axis=None)
-    seeds = []
-    seen = set()
-    for f in flat[: 8 * len(params)]:
-        i, j = np.unravel_index(int(f), gram.shape)
-        key = (min(i, j) // per, max(i, j) // per)
-        if key in seen:
-            continue
-        seen.add(key)
-        seeds.append((params[i], params[j]))
-        if len(seeds) >= 3:
-            break
-
-    def neg_dist(x: np.ndarray) -> float:
-        g = float(_curve_point(pieces, x[0]) @ _curve_point(pieces, x[1]))
-        return -math.acos(max(-1.0, min(1.0, g)))
-
-    for s0, t0 in seeds:
-        res = optimize.minimize(neg_dist, np.array([s0, t0]), method="Nelder-Mead",
-                                options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 400})
-        x = res.x if res.fun <= neg_dist(np.array([s0, t0])) else np.array([s0, t0])
-        consider(_curve_point(pieces, x[0]), _curve_point(pieces, x[1]))
-
-    if best_pair is None or best_d <= 1e-12:
-        return math.pi, None
-    width = math.pi - best_d
-    if best_d >= math.pi - 1e-12:
-        return width, None
-    return width, Lune(best_pair[0], best_pair[1])
+    return ballbody.width_nd(gens)
 
 
 def inradius_2d(gens: GeneratorSet) -> tuple[float, np.ndarray]:
@@ -705,7 +583,7 @@ def metrics(gens: GeneratorSet, boundary: ArcBoundary | None = None) -> BodyMetr
     """All scalar metrics of a 2-d body in one pass."""
     if boundary is None:
         boundary = boundary_structure(gens)
-    w, _ = width_2d(gens, boundary)
+    w, _ = width_2d(gens)
     rin, _ = inradius_2d(gens)
     circ, _ = ballbody.circumradius_minimax(gens.points)
     hull_diam, _ = hull_diameter_2d(gens, boundary)

@@ -1,10 +1,11 @@
 """Independent estimators used to cross-check the exact computations.
 
-These deliberately avoid the dual-curve machinery of the exact width: the
-area oracle is plain Monte Carlo in a proposal cap, and the width oracle
-traces the feasible-pole region by bisection along adaptively refined
-azimuths and brackets its diameter between the traced poles and an outer
-supporting polygon. Each result carries an explicit error bound.
+These deliberately avoid the closed forms they check: the area oracle is
+plain Monte Carlo in a proposal cap, and the width oracle never uses the
+farthest-pair formula 2r - diam X. It traces the feasible-pole region by
+bisection on exact support margins along adaptively refined azimuths and
+brackets its diameter between the traced poles and an outer supporting
+polygon. Each result carries an explicit error bound.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import GeneratorSet
+from .sphere import GeneratorSet, tangent_basis
+from .diskpoly import ArcBoundary, boundary_structure, circle_basis, support_margins_2d
 from . import ballbody
 
 __all__ = ["OracleResult", "oracle_area_mc", "oracle_width_grid"]
@@ -54,14 +56,12 @@ def oracle_area_mc(gens: GeneratorSet, n: int = 1_000_000, seed: int = 0) -> Ora
     return OracleResult("area", est.value, 3.0 * est.std_error, "monte-carlo", float(n))
 
 
-def _farthest_boundary_points(poles: np.ndarray, boundary) -> np.ndarray:
+def _farthest_boundary_points(poles: np.ndarray, boundary: ArcBoundary) -> np.ndarray:
     """Body boundary point farthest from each pole, one row per pole.
 
     Mirrors the closed form of the support margin: on every arc the inner
     product with a pole is base + A cos t + B sin t, so the minimizer (the
     farthest point) is an arc endpoint or the interior phase minimum."""
-    from .diskpoly import circle_angle, circle_basis
-
     r = boundary.radius
     sin_r, cos_r = math.sin(r), math.cos(r)
     if boundary.full_ball is not None:
@@ -74,17 +74,7 @@ def _farthest_boundary_points(poles: np.ndarray, boundary) -> np.ndarray:
                 + sin_r * (np.cos(t)[:, None] * f0[None, :]
                            + np.sin(t)[:, None] * f1[None, :]))
 
-    centers = np.stack([arc.center for arc in boundary.arcs])
-    f0 = np.empty_like(centers)
-    f1 = np.empty_like(centers)
-    t0s = np.empty(len(boundary.arcs))
-    spans = np.empty(len(boundary.arcs))
-    for i, arc in enumerate(boundary.arcs):
-        frame = circle_basis(arc.center)
-        f0[i], f1[i] = frame[0], frame[1]
-        t0s[i] = circle_angle(arc.center, arc.start, frame)
-        spans[i] = arc.span
-
+    centers, f0, f1, t0s, spans = boundary.arc_table
     base = cos_r * (centers @ poles.T)
     a_coef = sin_r * (f0 @ poles.T)
     b_coef = sin_r * (f1 @ poles.T)
@@ -163,7 +153,8 @@ def _outer_pole_diameter(ys: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, min_dot)))
 
 
-def oracle_width_grid(gens: GeneratorSet, n_dirs: int = 96) -> OracleResult:
+def oracle_width_grid(gens: GeneratorSet, n_dirs: int = 96,
+                      boundary: ArcBoundary | None = None) -> OracleResult:
     """Bracketing boundary trace of the feasible-pole region of a 2-d body.
 
     A hemisphere about a pole contains the body iff the pole's exact
@@ -179,16 +170,15 @@ def oracle_width_grid(gens: GeneratorSet, n_dirs: int = 96) -> OracleResult:
     upper bound. The reported value is pi minus the lower bound and the
     error bound is the bracket gap, which stays honest even for sliver
     pole regions whose boundary jumps discontinuously in azimuth.
-    ``resolution`` reports the number of boundary poles traced.
+    ``resolution`` reports the number of boundary poles traced; a
+    ``boundary`` already built for ``gens`` is reused.
     """
     if gens.dim != 2:
         raise ValueError(f"width oracle requires sphere dimension 2, got {gens.dim}")
     if n_dirs < 8:
         raise ValueError(f"need at least 8 grid directions, got {n_dirs}")
-    from .diskpoly import boundary_structure, support_margins_2d
-    from .sphere import tangent_basis
-
-    boundary = boundary_structure(gens)
+    if boundary is None:
+        boundary = boundary_structure(gens)
     res = ballbody.minimax_center(gens.points)
     c = res.center
     b1 = tangent_basis(c)[0]

@@ -33,6 +33,7 @@ from .sphere import (
 )
 from .ballbody import minimax_center
 from .diskpoly import (
+    ArcBoundary,
     ArcPiece,
     arc_polygon_area,
     area,
@@ -445,13 +446,15 @@ class ProofTrace:
         }
 
 
-def replay_instance(gens: GeneratorSet, n_samples: int = 4000, seed: int = 0) -> ProofTrace:
+def replay_instance(gens: GeneratorSet, n_samples: int = 4000, seed: int = 0,
+                    boundary: ArcBoundary | None = None) -> ProofTrace:
     """Replay the area-minimality argument on one 2-d instance.
 
     Branches: 'early-exit' when the inscribed disk alone settles the bound
     (diameter >= radius), 'diameter' for pinched contact, 'triangle' for
     the full cap construction with the complete inequality chain, apex
-    clearances, containment and disjointness sampling.
+    clearances, containment and disjointness sampling. A ``boundary``
+    already built for ``gens`` is reused.
     """
     if gens.dim != 2:
         raise ValueError(f"replay requires sphere dimension 2, got {gens.dim}")
@@ -460,7 +463,8 @@ def replay_instance(gens: GeneratorSet, n_samples: int = 4000, seed: int = 0) ->
     checks: dict[str, dict] = {}
     areas: dict[str, float] = {}
 
-    boundary = boundary_structure(gens)
+    if boundary is None:
+        boundary = boundary_structure(gens)
     area_body = area(boundary)
     area_floor = reuleaux_area(r)
     areas["body"] = area_body

@@ -203,8 +203,7 @@ def test_criterion_10_campaign_determinism(tmp_path, announce):
              campaign.CampaignCell(2, HALF_PI, 3), campaign.CampaignCell(3, 0.8, 2),
              campaign.CampaignCell(3, HALF_PI, 2))
     cfg = campaign.CampaignConfig(cells=cells, seed=97, mc_area_n=4000,
-                                  volume_n=20_000, width_boundary=128,
-                                  width_budget=3, grid_dirs=48, replay_samples=600)
+                                  volume_n=20_000, grid_dirs=48, replay_samples=600)
 
     def stripped(out_dir) -> bytes:
         reports = campaign.run_campaign(cfg)

@@ -20,13 +20,13 @@ from ballpoly.ballbody import (
     schramm_bound,
     simplex_body,
     sphere_volume,
-    support_margin_nd,
     width_nd,
 )
 from ballpoly.diskpoly import (
     boundary_structure,
     inradius_2d,
     support_margin_2d,
+    support_margins_2d,
     width_2d,
 )
 from ballpoly.sphere import (
@@ -288,6 +288,15 @@ class TestPoleCertificate:
         assert exact == pytest.approx(0.0, abs=1e-12)
         assert cert == pytest.approx(0.0, abs=1e-9)
 
+    def test_pole_on_a_generator_certifies_its_exact_margin(self):
+        # with more generators than dimensions the zero-residual weight sits
+        # at the kink of the norm, where the quasi-Newton solve stalls
+        for seed in range(6):
+            gens = sample_wide_generator(3, HALF_PI, 5 + seed % 4, 900 + seed)
+            for x in gens.points:
+                cert = pole_margin_certificate(gens.points, HALF_PI, x)
+                assert cert >= -1e-15
+
     def test_sampled_margin_upper_bounds_certificate(self, random_gens_3d):
         rng = np.random.default_rng(23)
         for gens in random_gens_3d[:2]:
@@ -295,7 +304,9 @@ class TestPoleCertificate:
             for _ in range(5):
                 pole = unit_vector(rng.normal(size=4))
                 cert = pole_margin_certificate(gens.points, gens.radius, pole)
-                sampled = support_margin_nd(gens, pole, sample)
+                # the sample points are body points, so their smallest
+                # inner product bounds the margin from above
+                sampled = float(np.min(sample @ pole))
                 assert cert <= sampled + 1e-9
 
 
@@ -310,30 +321,109 @@ class TestBoundarySampleDual:
             assert m <= 1e-5
 
 
+def _witness_margins(gens, witness) -> list[float]:
+    """Exact support margins of both witness poles on S^2, certified lower
+    bounds on them otherwise."""
+    poles = np.stack([witness.u, witness.v])
+    if gens.dim == 2:
+        return list(support_margins_2d(gens, poles))
+    return [pole_margin_certificate(gens.points, gens.radius, p) for p in poles]
+
+
 class TestWidthNd:
     def test_simplex_width_at_right_angle_radius(self, simplex3_half):
-        est = width_nd(simplex3_half.generator_set(), budget=3, seed=0, n_boundary=128)
-        assert est.value == pytest.approx(HALF_PI, abs=1e-9)
-        assert est.certified_lower
-        assert est.witness is not None
-        assert est.witness.width == pytest.approx(est.value, abs=1e-12)
+        w, witness = width_nd(simplex3_half.generator_set())
+        assert w == pytest.approx(HALF_PI, abs=1e-12)
+        assert witness is not None
+        assert witness.width == pytest.approx(w, abs=1e-12)
 
     def test_narrow_simplex_width_equals_radius(self):
-        gens = simplex_body(3, 0.8).generator_set()
-        est = width_nd(gens, budget=3, seed=0, n_boundary=128)
-        assert est.value == pytest.approx(0.8, abs=1e-6)
+        w, _ = width_nd(simplex_body(3, 0.8).generator_set())
+        assert w == pytest.approx(0.8, abs=1e-12)
 
-    def test_agrees_with_planar_width(self, random_gens_2d):
+    def test_agrees_with_planar_width(self, random_gens_2d, simplex3_half):
         for gens in random_gens_2d[:3]:
-            est = width_nd(gens, budget=3, seed=0, n_boundary=128)
-            w2, _ = width_2d(gens)
-            assert est.value == pytest.approx(w2, abs=1e-5)
+            w, witness = width_nd(gens)
+            w2, witness2 = width_2d(gens)
+            assert w2 == w
+            assert witness2.u.tobytes() == witness.u.tobytes()
+        with pytest.raises(ValueError):
+            width_2d(simplex3_half.generator_set())
 
     def test_width_floor_on_random_bodies(self, random_gens_3d):
-        for gens in random_gens_3d[:2]:
-            est = width_nd(gens, budget=2, seed=0, n_boundary=96)
-            assert est.value >= gens.radius - 1e-6
-            assert est.value <= math.pi
+        for gens in random_gens_3d:
+            w, _ = width_nd(gens)
+            assert w >= gens.radius - 1e-12
+            assert w <= math.pi
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("r", [0.3, 0.8, HALF_PI])
+    def test_equals_twice_radius_minus_diameter(self, d, r):
+        for seed in range(4):
+            gens = sample_wide_generator(d, r, d + 1 + seed, 300 + seed)
+            w, witness = width_nd(gens)
+            assert w == pytest.approx(2 * r - diameter(gens.points), abs=1e-13)
+            assert witness.width == pytest.approx(w, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_witness_poles_support_the_body(self, d):
+        # exact margins on S^2 must clear -1e-12; the certificate is a lower
+        # bound, so passing -1e-9 proves each hemisphere holds the body
+        tol = 1e-12 if d == 2 else 1e-9
+        for k, r in enumerate((0.3, 0.8, HALF_PI)):
+            gens = sample_wide_generator(d, r, d + 2, 500 + k)
+            _, witness = width_nd(gens)
+            assert min(_witness_margins(gens, witness)) >= -tol
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_single_and_coincident_generators(self, d):
+        x = unit_vector(np.arange(1.0, d + 2.0))
+        for pts in (x[None, :], np.stack([x, x])):
+            gens = GeneratorSet(dim=d, radius=0.8, points=pts)
+            w, witness = width_nd(gens)
+            assert w == pytest.approx(1.6, abs=1e-13)
+            assert witness.width == pytest.approx(w, abs=1e-12)
+            assert min(_witness_margins(gens, witness)) >= -1e-9
+            assert width_nd(GeneratorSet(dim=d, radius=HALF_PI, points=pts)) == (math.pi, None)
+
+    def test_lens(self):
+        r, s = 0.7, 0.5
+        gens = two_point_gens(r, s)
+        w, witness = width_nd(gens)
+        assert w == pytest.approx(2 * r - s, abs=1e-13)
+        assert min(_witness_margins(gens, witness)) >= -1e-12
+        # the hemisphere pair at radius pi/2: the poles are the generators
+        w, witness = width_nd(two_point_gens(HALF_PI, HALF_PI))
+        assert w == pytest.approx(HALF_PI, abs=1e-13)
+        assert spherical_distance(witness.u, witness.v) == pytest.approx(HALF_PI, abs=1e-13)
+
+
+class TestWidthProperties:
+    """Invariances of the closed-form width."""
+
+    @_PROPERTY
+    @given(gens=_wide_gens, q_seed=st.integers(0, 2**31 - 2))
+    def test_rotation_leaves_the_width(self, gens, q_seed):
+        k = gens.points.shape[1]
+        q, _ = np.linalg.qr(np.random.default_rng(q_seed).normal(size=(k, k)))
+        rotated = GeneratorSet(gens.dim, gens.radius, gens.points @ q.T)
+        assert width_nd(rotated)[0] == pytest.approx(width_nd(gens)[0], abs=1e-12)
+
+    @_PROPERTY
+    @given(gens=_wide_gens, data=st.data())
+    def test_permutation_leaves_the_width(self, gens, data):
+        perm = np.array(data.draw(st.permutations(range(gens.n_points))))
+        permuted = GeneratorSet(gens.dim, gens.radius, gens.points[perm])
+        assert width_nd(permuted)[0] == pytest.approx(width_nd(gens)[0], abs=1e-12)
+
+    @_PROPERTY
+    @given(gens=_wide_gens)
+    def test_adding_the_center_as_a_generator_leaves_the_width(self, gens):
+        # the center is within the circumradius of every generator, so the
+        # diameter, and with it the width, cannot change
+        c = minimax_center(gens.points).center
+        grown = GeneratorSet(gens.dim, gens.radius, np.vstack([gens.points, c]))
+        assert width_nd(grown)[0] == pytest.approx(width_nd(gens)[0], abs=1e-12)
 
 
 class TestHull:
@@ -363,6 +453,6 @@ class TestHull:
 
     def test_width_plus_hull_diameter_identity_3d(self, random_gens_3d):
         for gens in random_gens_3d[:2]:
-            w = width_nd(gens, budget=2, seed=0, n_boundary=96).value
+            w, _ = width_nd(gens)
             dh, _ = hull_diameter(gens, seed=0)
             assert w + dh == pytest.approx(2 * gens.radius, abs=2e-3)

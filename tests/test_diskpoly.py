@@ -262,7 +262,7 @@ class TestBoundaryStructure:
         boundary = boundary_structure(gens)
         assert len(boundary.arcs) == 2
         assert area(boundary) == pytest.approx(math.pi, abs=1e-9)
-        w, _ = width_2d(gens, boundary)
+        w, _ = width_2d(gens)
         assert w == pytest.approx(HALF_PI, abs=1e-9)
 
 
@@ -399,7 +399,7 @@ class TestRandomBodies:
     def test_width_witness_lune_contains_the_body(self, random_gens_2d):
         for gens in random_gens_2d[:6]:
             boundary = boundary_structure(gens)
-            w, witness = width_2d(gens, boundary)
+            w, witness = width_2d(gens)
             assert witness is not None
             assert support_margin_2d(gens, witness.u, boundary) >= -1e-9
             assert support_margin_2d(gens, witness.v, boundary) >= -1e-9

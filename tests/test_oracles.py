@@ -62,6 +62,13 @@ class TestWidthOracle:
         assert res.value >= exact - 1e-9
         assert res.value <= exact + res.error_bound
 
+    def test_brackets_the_exact_width_on_random_bodies(self, random_gens_2d):
+        for gens in random_gens_2d:
+            exact, _ = width_2d(gens)
+            res = oracle_width_grid(gens, n_dirs=96)
+            assert res.value >= exact - 1e-9
+            assert res.value <= exact + res.error_bound
+
     def test_tightens_with_more_directions(self, random_gens_2d):
         for gens in random_gens_2d[:3]:
             coarse = oracle_width_grid(gens, n_dirs=24)
